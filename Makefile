@@ -59,9 +59,13 @@ fleet-smoke: build
 	$(GO) run ./cmd/gcsim -fleet -fleet-instances 2 -config all
 
 # fuzz-smoke replays the checked-in crash-recovery corpus and fuzzes for
-# 30s on top (regression net for the crash points earlier PRs fixed).
+# 30s on top (regression net for the crash points earlier PRs fixed), then
+# does the same for the scheduler-equivalence target: fuzzed multi-worker
+# memsim programs must run identically under the eager-yield reference and
+# the default scheduler.
 fuzz-smoke: build
 	$(GO) test ./internal/gc -run FuzzCrashRecovery -fuzz FuzzCrashRecovery -fuzztime 30s
+	$(GO) test ./internal/memsim -run FuzzSchedulerEquivalence -fuzz FuzzSchedulerEquivalence -fuzztime 30s
 
 # cover enforces per-package coverage floors on the collector core.
 # -coverpkg merges cross-package hits (internal/heap is exercised mostly
