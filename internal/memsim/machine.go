@@ -1,7 +1,9 @@
 package memsim
 
 import (
+	"iter"
 	"math"
+	"runtime"
 )
 
 // Config parameterizes a simulated machine.
@@ -27,15 +29,6 @@ type Config struct {
 	// EagerYield starts the machine in the reference scheduling mode that
 	// yields before every device-visible operation (see SetEagerYield).
 	EagerYield bool
-
-	// BatchWindow caps how many charged operations a worker may queue
-	// inside a quiescence-epoch batch window (see Worker.BatchBegin)
-	// before settling them. 0 selects the default (64); 1 disables
-	// batching (every op settles at issue, the reference behavior); a
-	// negative value removes the cap (windows settle only at their end
-	// or at a flush point). Virtual-time results are bit-identical at
-	// any setting — the golden batch-sweep tests assert this.
-	BatchWindow int
 
 	// WatchdogSpins bounds consecutive Spin iterations before the deadlock
 	// watchdog inspects the phase: if every unfinished worker is also
@@ -90,8 +83,7 @@ type Machine struct {
 	now   Time
 	marks []PhaseMark
 
-	eagerYield  bool
-	batchWindow int // normalized Config.BatchWindow (see SetBatchWindow)
+	eagerYield bool
 
 	// Persistence domain and fault injection (see persist.go).
 	pd        *PersistDomain
@@ -128,7 +120,6 @@ func NewMachine(cfg Config) *Machine {
 		eagerYield: cfg.EagerYield,
 		wdSpins:    wd,
 	}
-	m.SetBatchWindow(cfg.BatchWindow)
 	m.DRAM = m.aliasTier("dram", false)
 	m.NVM = m.aliasTier("nvm", true)
 	return m
@@ -168,40 +159,9 @@ func (m *Machine) Now() Time { return m.now }
 // SetEagerYield switches the scheduler back to the pre-lookahead behavior
 // of yielding before every device-visible operation. Virtual-time results
 // are identical either way (the golden determinism tests assert this); the
-// eager mode exists as the reference implementation and costs two channel
-// handoffs per operation instead of one per horizon crossing.
+// eager mode exists as the reference implementation and costs two
+// coroutine handoffs per operation instead of one per horizon crossing.
 func (m *Machine) SetEagerYield(on bool) { m.eagerYield = on }
-
-// defaultBatchWindow caps a batch window's queued operations: long enough
-// to cover a whole object copy or flush chunk (the hinted windows), short
-// enough that the scheduler heap never goes stale for a macroscopic
-// stretch of virtual time.
-const defaultBatchWindow = 64
-
-// SetBatchWindow adjusts the batch-window cap between phases (see
-// Config.BatchWindow): 0 restores the default, 1 disables batching, a
-// negative value removes the cap. Results are identical at any setting.
-func (m *Machine) SetBatchWindow(n int) {
-	switch {
-	case n == 0:
-		m.batchWindow = defaultBatchWindow
-	case n < 0:
-		m.batchWindow = -1
-	default:
-		m.batchWindow = n
-	}
-}
-
-// BatchWindow returns the normalized batch-window cap.
-func (m *Machine) BatchWindow() int { return m.batchWindow }
-
-// crashArmed reports whether an injected power-failure trigger is armed.
-// Batch windows refuse to activate while one is: crash triggers fire at
-// pre-settlement issue points (noteOp, the persistence domain's store
-// hook), so those runs keep strict per-op settlement.
-func (m *Machine) crashArmed() bool {
-	return m.faultTime > 0 || (m.fault != nil && m.fault.CrashAtStore > 0)
-}
 
 // Mark records a labeled point at the current virtual time.
 func (m *Machine) Mark(label string) {
@@ -223,11 +183,15 @@ func (m *Machine) Device(k Kind) *Device {
 // current virtual clock. It returns the phase's elapsed virtual time (the
 // latest worker finish) and advances the machine clock to the phase end.
 //
-// With n > 1 the workers run as goroutine coroutines under a
+// With n > 1 each worker runs as a runtime coroutine (iter.Pull) under a
 // min-virtual-time-first scheduler: exactly one worker executes at a time,
 // and device operations are globally ordered by issue time, so the
 // simulation is deterministic. Worker bodies must not block on anything
-// other than the scheduler (use Worker.Spin in busy-wait loops).
+// other than the scheduler (use Worker.Spin in busy-wait loops). A handoff
+// names the successor in s.run and parks the worker through its
+// coroutine's yield; the driver loop below resumes whichever worker s.run
+// names. Coroutine switches bypass the Go scheduler, so a handoff costs
+// two direct stack switches (worker to driver, driver to successor).
 //
 // The scheduler uses event-horizon lookahead: the worker it resumes is
 // handed the virtual time (and id, for tie-breaks) of the next-earliest
@@ -237,66 +201,74 @@ func (m *Machine) Device(k Kind) *Device {
 // possible one, so the operation order — and therefore every virtual-time
 // result — is bit-identical to yielding before each operation
 // (SetEagerYield restores the reference behavior).
+//
+// A panic in a worker body other than the crash/watchdog unwind surfaces
+// from Run on the caller's goroutine, after every other worker of the
+// phase has been unwound and its coroutine released.
 func (m *Machine) Run(n int, body func(*Worker)) Time {
 	start := m.now
 	if n <= 1 {
-		w := &Worker{id: 0, now: start, m: m, horizonKey: math.MaxInt64, ownerTag: 1}
+		w := &Worker{id: 0, now: start, m: m, horizonKey: math.MaxInt64}
 		runBody(w, body)
 		w.finished = true
 		if w.now > m.now {
 			m.now = w.now
 		}
-		if m.wdErr != nil {
-			err := m.wdErr
-			m.wdErr = nil
-			panic(err)
-		}
+		m.raiseWatchdog()
 		return m.now - start
 	}
 
 	if n > maxWorkers {
 		panic("memsim: Run supports at most 256 workers per phase")
 	}
-	s := &scheduler{done: make(chan *Worker, n), q: make(workerQueue, 0, n)}
-	s.all = make([]*Worker, 0, n)
-	for i := 0; i < n; i++ {
-		w := &Worker{id: i, now: start, m: m, sched: s, resume: make(chan struct{}), ownerTag: uint8(i + 1)}
-		go func(w *Worker) {
-			<-w.resume
+	s := &scheduler{q: make(workerQueue, 0, n), workers: make([]Worker, n)}
+	for i := range s.workers {
+		w := &s.workers[i]
+		w.id, w.now, w.m, w.sched = i, start, m, s
+		w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+			w.yieldCo = yield
 			w.setHorizon()
 			runBody(w, body)
 			w.finished = true
 			w.finish()
-		}(w)
+		})
 		s.q = append(s.q, qent{w.qkey(), w})
-		s.all = append(s.all, w)
 	}
 	// All workers start at the same time; the slice is already id-ordered,
 	// which is a valid heap under the (now, id) ordering.
+	defer s.stopAll()
 
-	// Hand the CPU to the earliest worker; from here on control passes
-	// worker-to-worker (yield/finish pop the successor and resume it
-	// directly), so a handoff costs one channel hop, not a round-trip
-	// through this goroutine. Run only collects completions.
-	first := s.q.pop()
-	first.resume <- struct{}{}
+	s.run = s.q.pop()
+	for s.run != nil {
+		w := s.run
+		s.run = nil
+		w.resume()
+	}
 
 	end := start
-	for i := 0; i < n; i++ {
-		w := <-s.done
-		if w.now > end {
-			end = w.now
-		}
+	for i := range s.workers {
+		end = max(end, s.workers[i].now)
 	}
 	if end > m.now {
 		m.now = end
 	}
+	// Coroutine switches never enter the Go scheduler, so a long phase
+	// starves the runtime's fractional background mark worker and leaves
+	// the host GC to mutator assists, which lets the Go heap (and RSS)
+	// overshoot. One explicit scheduling point per phase lets it run.
+	runtime.Gosched()
+	m.raiseWatchdog()
+	return m.now - start
+}
+
+// raiseWatchdog re-panics a deadlock the watchdog detected during the
+// phase on Run's caller, after every worker has unwound.
+func (m *Machine) raiseWatchdog() {
 	if m.wdErr != nil {
 		err := m.wdErr
 		m.wdErr = nil
 		panic(err)
 	}
-	return m.now - start
 }
 
 // runBody executes a worker body, absorbing the crashSignal unwind that an
@@ -316,12 +288,22 @@ func runBody(w *Worker, body func(*Worker)) {
 
 // scheduler is the shared state of one parallel phase. The runnable-worker
 // heap is only ever touched by the single currently-executing worker (or
-// by Run before the phase starts), so it needs no lock; the channel
-// handoffs provide the happens-before edges.
+// by Run before the phase starts), so it needs no lock; the coroutine
+// switches provide the happens-before edges.
 type scheduler struct {
-	q    workerQueue
-	done chan *Worker // buffered; receives each worker as its body returns
-	all  []*Worker    // every worker of the phase, for watchdog dumps
+	q       workerQueue
+	run     *Worker  // the worker Run's driver loop resumes next; nil ends the phase
+	workers []Worker // every worker of the phase, in id order
+}
+
+// stopAll releases every worker coroutine of the phase. After a normal
+// phase all of them have returned and this is a no-op; when a worker
+// body panicked, the parked workers are resumed with a false yield and
+// unwind their bodies (see Worker.park) so no coroutine outlives Run.
+func (s *scheduler) stopAll() {
+	for i := range s.workers {
+		s.workers[i].stop()
+	}
 }
 
 // workerQueue is a min-heap of runnable workers ordered by the packed

@@ -462,6 +462,7 @@ func (m *Machine) MaterializeCrash() (CrashReport, error) {
 	return rep, nil
 }
 
-// crashSignal unwinds a worker goroutine when the machine halts. It is
-// recovered by the scheduler's body wrapper, never by user code.
+// crashSignal unwinds a worker body when the machine halts (or when Run
+// releases a phase after a foreign panic). It is recovered by the
+// scheduler's body wrapper, never by user code.
 type crashSignal struct{}

@@ -70,7 +70,10 @@ func (w *Worker) watchdogCheck() {
 	}
 	workers := []*Worker{w}
 	if w.sched != nil {
-		workers = w.sched.all
+		workers = workers[:0]
+		for i := range w.sched.workers {
+			workers = append(workers, &w.sched.workers[i])
+		}
 	}
 	for _, o := range workers {
 		if !o.finished && o.spinStreak < m.wdSpins {
